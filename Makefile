@@ -72,7 +72,8 @@ attr-smoke:
 
 # obs-smoke proves the request-tracing path end to end against a live
 # daemon: compile once, take the response's X-Request-Id, resolve it at
-# /debug/flightrecorder/{id} to a span tree with the expected phases,
+# /debug/requests/{id} to one record holding a span tree with the
+# expected phases and the placement decision log,
 # pull one /debug/live snapshot through gcaotop (rendered and raw JSON,
 # the JSON lands in out/ for CI artifacts), and assert /metrics carries
 # the RED and build-info families.
@@ -95,11 +96,12 @@ obs-smoke:
 	grep -qi '^traceparent: 00-' out/obs-headers.txt || { echo "obs-smoke: no traceparent header"; exit 1; }; \
 	rid=$$(grep -i '^x-request-id:' out/obs-headers.txt | tr -d '\r' | awk '{print $$2}'); \
 	echo "obs-smoke: request id $$rid"; \
-	curl -fsS "http://127.0.0.1:8377/debug/flightrecorder/$$rid" > out/obs-flight.json; \
-	grep -q '"phases"' out/obs-flight.json || { echo "obs-smoke: flight record lacks phases"; exit 1; }; \
-	grep -q '"compile"' out/obs-flight.json || { echo "obs-smoke: flight record lacks a compile phase"; exit 1; }; \
-	grep -q '"queue.wait"' out/obs-flight.json || { echo "obs-smoke: flight record lacks queue wait"; exit 1; }; \
-	grep -q '"trace"' out/obs-flight.json || { echo "obs-smoke: flight record lacks the span tree"; exit 1; }; \
+	curl -fsS "http://127.0.0.1:8377/debug/requests/$$rid" > out/obs-request.json; \
+	grep -q '"phases"' out/obs-request.json || { echo "obs-smoke: request record lacks phases"; exit 1; }; \
+	grep -q '"compile"' out/obs-request.json || { echo "obs-smoke: request record lacks a compile phase"; exit 1; }; \
+	grep -q '"queue.wait"' out/obs-request.json || { echo "obs-smoke: request record lacks queue wait"; exit 1; }; \
+	grep -q '"trace"' out/obs-request.json || { echo "obs-smoke: request record lacks the span tree"; exit 1; }; \
+	grep -q '"decisions"' out/obs-request.json || { echo "obs-smoke: request record lacks the decision log"; exit 1; }; \
 	./out/gcaotop -addr http://127.0.0.1:8377 -once | tee out/obs-top.txt; \
 	grep -q 'req/s' out/obs-top.txt || { echo "obs-smoke: gcaotop rendered nothing"; exit 1; }; \
 	./out/gcaotop -addr http://127.0.0.1:8377 -once -json > out/obs-live.json; \
@@ -110,7 +112,7 @@ obs-smoke:
 	grep -q 'gcao_queue_wait_seconds_count{pool="compile"}' out/obs-metrics.txt || { echo "obs-smoke: no queue wait histogram"; exit 1; }; \
 	kill $$daemon 2>/dev/null || true; \
 	wait $$daemon 2>/dev/null || true
-	$(GO) test ./cmd/gcaod -run 'TestFlightRecorderResolvesCompile|TestLiveSSE|TestTraceparentRoundTrip' -count=1
+	$(GO) test ./cmd/gcaod -run 'TestFlightRecorderResolvesCompile|TestLiveSSE|TestTraceparentRoundTrip|TestReadYourWrites' -count=1
 	$(GO) test ./cmd/gcaotop -count=1
 	@echo "obs-smoke: ok (live snapshot at out/obs-live.json)"
 

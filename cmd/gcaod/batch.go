@@ -48,7 +48,7 @@ type batchResponse struct {
 func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 	// The middleware's request id doubles as the batch id; items mint
 	// their own ids below so every compilation remains individually
-	// addressable in the decision ring and flight recorder.
+	// addressable in the request store.
 	batchID := reqID(r)
 	t0 := time.Now()
 	req, err := decodeJSONBody[batchRequest](r, s.cfg.maxBody)
@@ -81,8 +81,8 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 		id := fmt.Sprintf("r%06d", s.seq.Add(1))
 		rec := obs.New()
 		// Each item carries its own span tree under the batch's trace
-		// id, so a slow item resolves at /debug/flightrecorder/{id}
-		// like a single-shot request would.
+		// id, so a slow item resolves at /debug/requests/{id} like a
+		// single-shot request would.
 		tr, _ := reqtrace.FromTraceparent("batch.item", reqtrace.FromContext(r.Context()).Traceparent())
 		tr.SetReqID(id)
 		root := tr.Root()
@@ -127,8 +127,7 @@ func (s *server) handleCompileBatch(w http.ResponseWriter, r *http.Request) {
 			allQueueFull = false
 		}
 		resp.Items[res.Index] = item
-		s.record(st.id, t0, st.rec, cresp, res.Err)
-		s.flightRecord(st.tr, "/compile/batch", item.Status, res.Err, cresp, t0)
+		s.publish(st.tr, "/compile/batch", item.Status, res.Err, st.rec, cresp, t0)
 	}
 	s.log.Info("http.batch",
 		obs.F("req", batchID), obs.F("items", len(results)),

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"gcao"
-	"gcao/internal/obs"
+	"gcao/internal/obs/reqtrace"
 )
 
 // getJSON fetches a URL and decodes its body into out, returning the
@@ -30,9 +30,9 @@ func getJSON(t *testing.T, url string, out any) int {
 }
 
 // TestCritPathEndpoint: a simulated compile leaves an attribution
-// record behind; /debug/critpath lists it and /debug/critpath/{id}
-// serves the analyzed blame report, with ?g/?L overriding the BSP
-// cost model.
+// record behind; the /debug/requests listing flags it and
+// /debug/requests/{id}/critpath serves the analyzed blame report, with
+// ?g/?L overriding the BSP cost model.
 func TestCritPathEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	// One plain compile (no attribution) and one simulated compile.
@@ -54,24 +54,24 @@ func TestCritPathEndpoint(t *testing.T) {
 		t.Fatalf("simulated compile status = %d", respSim.StatusCode)
 	}
 
-	// The critpath list contains only the simulated request; the
-	// decisions list contains both.
+	// The listing holds both requests and flags only the simulated
+	// one as carrying an attribution record.
 	var list struct {
-		IDs      []string `json:"ids"`
-		Retained int      `json:"retained"`
+		Recent []reqtrace.Record `json:"recent"`
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath", &list); code != http.StatusOK {
-		t.Fatalf("critpath list status = %d", code)
+	if code := getJSON(t, ts.URL+"/debug/requests", &list); code != http.StatusOK {
+		t.Fatalf("request list status = %d", code)
 	}
-	if len(list.IDs) != 1 || list.IDs[0] != outSim.ReqID || list.Retained != 2 {
-		t.Fatalf("critpath list = %+v (sim req %s)", list, outSim.ReqID)
+	if len(list.Recent) != 2 || list.Recent[0].ID != outSim.ReqID || !list.Recent[0].HasAttr ||
+		list.Recent[1].ID != outPlain.ReqID || list.Recent[1].HasAttr {
+		t.Fatalf("request list = %+v (sim req %s)", list.Recent, outSim.ReqID)
 	}
 
 	var detail struct {
 		ReqID  string           `json:"req_id"`
 		Report *gcao.AttrReport `json:"report"`
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath/"+outSim.ReqID, &detail); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/debug/requests/"+outSim.ReqID+"/critpath", &detail); code != http.StatusOK {
 		t.Fatalf("critpath detail status = %d", code)
 	}
 	rep := detail.Report
@@ -93,7 +93,7 @@ func TestCritPathEndpoint(t *testing.T) {
 	var cheap struct {
 		Report *gcao.AttrReport `json:"report"`
 	}
-	url := fmt.Sprintf("%s/debug/critpath/%s?g=0&L=1", ts.URL, outSim.ReqID)
+	url := fmt.Sprintf("%s/debug/requests/%s/critpath?g=0&L=1", ts.URL, outSim.ReqID)
 	if code := getJSON(t, url, &cheap); code != http.StatusOK {
 		t.Fatalf("override status = %d", code)
 	}
@@ -105,60 +105,56 @@ func TestCritPathEndpoint(t *testing.T) {
 	}
 
 	// Error paths: bad model knob, non-simulated request, unknown id.
-	if code := getJSON(t, ts.URL+"/debug/critpath/"+outSim.ReqID+"?g=banana", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/debug/requests/"+outSim.ReqID+"/critpath?g=banana", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad g status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath/"+outSim.ReqID+"?L=-1", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/debug/requests/"+outSim.ReqID+"/critpath?L=-1", nil); code != http.StatusBadRequest {
 		t.Fatalf("negative L status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath/"+outPlain.ReqID, nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/debug/requests/"+outPlain.ReqID+"/critpath", nil); code != http.StatusNotFound {
 		t.Fatalf("non-simulated request status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/critpath/nope", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/debug/requests/nope/critpath", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown id status = %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/debug/critpath?limit=frog", nil); code != http.StatusBadRequest {
-		t.Fatalf("bad limit status = %d", code)
 	}
 }
 
-// TestDecisionListLimit pins the ?limit=N paging of /debug/decisions:
-// default bounded, explicit limit honored, limit=0 returns everything
-// retained, garbage is a 400.
+// TestDecisionListLimit pins the ?limit=N paging of /debug/requests:
+// default bounded, explicit limit honored newest first, limit=0
+// returns everything retained, garbage is a 400.
 func TestDecisionListLimit(t *testing.T) {
 	s, _ := testServer(t)
-	// Bypass HTTP for seeding: fill the ring directly past the default
-	// page size would be overkill; three records suffice to see paging.
-	ids := []string{"r1", "r2", "r3"}
-	for _, id := range ids {
-		s.ring.Add(obs.RequestRecord{ID: id, Status: "ok"})
+	// Seed the store directly: three records suffice to see paging.
+	for _, id := range []string{"r1", "r2", "r3"} {
+		s.requests.Add(reqtrace.Record{ID: id, Status: http.StatusOK})
 	}
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	var list struct {
-		IDs      []string `json:"ids"`
-		Retained int      `json:"retained"`
+	ids := func(query string) []string {
+		t.Helper()
+		var list struct {
+			Recent []reqtrace.Record `json:"recent"`
+		}
+		if code := getJSON(t, ts.URL+"/debug/requests"+query, &list); code != http.StatusOK {
+			t.Fatalf("list%s status = %d", query, code)
+		}
+		var out []string
+		for _, r := range list.Recent {
+			out = append(out, r.ID)
+		}
+		return out
 	}
-	if code := getJSON(t, ts.URL+"/debug/decisions", &list); code != http.StatusOK {
-		t.Fatalf("default list status = %d", code)
+	if got := ids(""); len(got) != 3 || got[0] != "r3" {
+		t.Fatalf("default list = %v", got)
 	}
-	if len(list.IDs) != 3 || list.IDs[0] != "r3" || list.Retained != 3 {
-		t.Fatalf("default list = %+v", list)
+	if got := ids("?limit=2"); len(got) != 2 || got[0] != "r3" || got[1] != "r2" {
+		t.Fatalf("limit=2 list = %v", got)
 	}
-	if code := getJSON(t, ts.URL+"/debug/decisions?limit=2", &list); code != http.StatusOK {
-		t.Fatalf("limit=2 status = %d", code)
+	if got := ids("?limit=0"); len(got) != 3 {
+		t.Fatalf("limit=0 list = %v", got)
 	}
-	if len(list.IDs) != 2 || list.IDs[0] != "r3" || list.IDs[1] != "r2" || list.Retained != 3 {
-		t.Fatalf("limit=2 list = %+v", list)
-	}
-	if code := getJSON(t, ts.URL+"/debug/decisions?limit=0", &list); code != http.StatusOK {
-		t.Fatalf("limit=0 status = %d", code)
-	}
-	if len(list.IDs) != 3 {
-		t.Fatalf("limit=0 list = %+v", list)
-	}
-	if code := getJSON(t, ts.URL+"/debug/decisions?limit=two", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/debug/requests?limit=two", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad limit status = %d", code)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // liveDoc is one /debug/live snapshot: the numbers an operator
 // watches while a saturation or regression develops, assembled from
-// the registry, cache, scheduler and flight recorder. gcaotop renders
+// the registry, cache, scheduler and request store. gcaotop renders
 // the same document.
 type liveDoc struct {
 	UnixNS        int64   `json:"unix_ns"`
@@ -31,12 +31,12 @@ type liveDoc struct {
 	Codes  map[string]int64 `json:"codes"`
 	// CacheHitRate is the compile tier's hits/(hits+misses); 0 before
 	// any lookup.
-	CacheHitRate   float64              `json:"cache_hit_rate"`
-	Cache          gcao.CacheStats      `json:"cache"`
-	Sched          sched.Stats          `json:"scheduler"`
-	QueueWaitP50ms float64              `json:"queue_wait_p50_ms"`
-	QueueWaitP99ms float64              `json:"queue_wait_p99_ms"`
-	Flight         reqtrace.FlightStats `json:"flight"`
+	CacheHitRate   float64             `json:"cache_hit_rate"`
+	Cache          gcao.CacheStats     `json:"cache"`
+	Sched          sched.Stats         `json:"scheduler"`
+	QueueWaitP50ms float64             `json:"queue_wait_p50_ms"`
+	QueueWaitP99ms float64             `json:"queue_wait_p99_ms"`
+	Requests       reqtrace.StoreStats `json:"requests"`
 	// GapRatio aggregates estimated traffic over the communication
 	// lower bound across the benchmark×version pairs this daemon has
 	// compiled; GapPoints counts those pairs (0 until one is measured).
@@ -69,7 +69,7 @@ func (s *server) liveSnapshot(prevTotal int64, dt time.Duration) (liveDoc, int64
 		Sched:          s.pool.Stats(),
 		QueueWaitP50ms: s.reg.QueueWaitQuantile(0.50) * 1e3,
 		QueueWaitP99ms: s.reg.QueueWaitQuantile(0.99) * 1e3,
-		Flight:         s.flight.Stats(),
+		Requests:       s.requests.Stats(),
 	}
 	doc.GapRatio, doc.GapPoints = s.reg.AggregateGap()
 	if nat, ok := s.reg.NativeLive(); ok {

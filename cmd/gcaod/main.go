@@ -5,26 +5,24 @@
 //
 // Endpoints:
 //
-//	POST /compile                    source in, placement report + metrics doc out
-//	POST /compile/batch              many compile requests through the bounded scheduler
-//	GET  /metrics                    Prometheus text exposition of the global registry
-//	GET  /healthz                    liveness + version + uptime + request count
-//	GET  /debug/cache                compilation-cache, scheduler and flight-recorder counters
-//	GET  /debug/decisions            ids of the retained per-request decision logs
-//	GET  /debug/decisions/{id}       one request's full placement decision log
-//	GET  /debug/critpath             ids of the retained simulator attribution records
-//	GET  /debug/critpath/{id}        one request's blame ranking and critical path
-//	GET  /debug/flightrecorder       recent and slow/errored request summaries
-//	GET  /debug/flightrecorder/{id}  one request's phase summary and span tree
-//	GET  /debug/live                 server-sent-event stream of live ops snapshots
-//	GET  /debug/pprof/...            net/http/pprof
+//	POST /compile                       source in, placement report + metrics doc out
+//	POST /compile/batch                 many compile requests through the bounded scheduler
+//	GET  /metrics                       Prometheus text exposition of the global registry
+//	GET  /healthz                       liveness + version + uptime + request count
+//	GET  /debug/cache                   compilation-cache, scheduler and request-store counters
+//	GET  /debug/requests                recent and slow/errored request summaries
+//	GET  /debug/requests/{id}           one request's record: phases, span tree, decision log, profiles
+//	GET  /debug/requests/{id}/critpath  one simulated request's blame ranking and critical path
+//	GET  /debug/live                    server-sent-event stream of live ops snapshots
+//	GET  /debug/pprof/...               net/http/pprof
 //
 // Every response carries an X-Request-Id header and a W3C traceparent
 // (ingested from the client's, or minted); error bodies repeat the id
-// so a failure report is joinable against the flight recorder
-// (/debug/flightrecorder/{id} resolves the id to a span tree showing
-// where the request's wall time went: queue wait, cache probe +
-// compile, place, simulate).
+// so a failure report is joinable against the request store
+// (/debug/requests/{id} resolves the id to a span tree showing where
+// the request's wall time went — queue wait, cache probe + compile,
+// place, simulate — and to the compiler's decision log). A compile's
+// record is stored before its response is written.
 //
 // Repeated and concurrent identical requests are served from a
 // content-addressed compilation cache (-cache-entries, -cache-bytes);
@@ -53,14 +51,13 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request compile timeout")
-	ringSize := flag.Int("ring", 256, "retained per-request decision logs")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug, info, warn, error")
 	cacheEntries := flag.Int("cache-entries", 1024, "max entries per compilation-cache tier")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "max estimated bytes per compilation-cache tier")
 	workers := flag.Int("workers", 0, "compile worker goroutines (0: GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 64, "compile admission queue depth; overflow is a 429")
-	flightSize := flag.Int("flight", 256, "flight-recorder ring size (and slow-store size)")
-	slowThreshold := flag.Duration("slow-threshold", 500*time.Millisecond, "wall time at or above which a request's trace is retained as slow")
+	retain := flag.Int("retain", 256, "request records retained in each tier of the request store (recent, slow/errored)")
+	slowThreshold := flag.Duration("slow-threshold", 500*time.Millisecond, "wall time at or above which a request's record is also retained in the slow tier")
 	showVersion := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
 
@@ -76,12 +73,11 @@ func main() {
 	}
 	s := newServer(serverConfig{
 		reqTimeout:    *timeout,
-		ringSize:      *ringSize,
 		cacheEntries:  *cacheEntries,
 		cacheBytes:    *cacheBytes,
 		workers:       *workers,
 		queueDepth:    *queueDepth,
-		flightSize:    *flightSize,
+		retain:        *retain,
 		slowThreshold: *slowThreshold,
 		version:       version,
 		logW:          os.Stderr,

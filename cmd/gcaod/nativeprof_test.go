@@ -6,14 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"gcao/internal/native/prof"
+	"gcao/internal/obs/reqtrace"
 )
 
 // TestNativeProfEndpoint: a backend:"native" compile is profiled end
 // to end — the response carries the skew/blocked/calibration headline,
-// /debug/nativeprof lists the request, /debug/nativeprof/{id} serves
-// the retained profile, and the profiler metric families reach
-// /metrics. A plain request has no profile and 404s.
+// the /debug/requests listing flags the request, its record at
+// /debug/requests/{id} carries the profile, and the profiler metric
+// families reach /metrics. A plain request's record has no profile.
 func TestNativeProfEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	respPlain, outPlain := postCompile(t, ts, map[string]any{
@@ -48,28 +48,25 @@ func TestNativeProfEndpoint(t *testing.T) {
 		t.Fatal("metrics doc lost the native profile")
 	}
 
-	// The list endpoint names only the profiled request.
+	// The listing flags only the profiled request.
 	var list struct {
-		IDs      []string `json:"ids"`
-		Retained int      `json:"retained"`
+		Recent []reqtrace.Record `json:"recent"`
 	}
-	if code := getJSON(t, ts.URL+"/debug/nativeprof", &list); code != http.StatusOK {
-		t.Fatalf("nativeprof list status = %d", code)
+	if code := getJSON(t, ts.URL+"/debug/requests", &list); code != http.StatusOK {
+		t.Fatalf("request list status = %d", code)
 	}
-	if len(list.IDs) != 1 || list.IDs[0] != outNat.ReqID || list.Retained != 2 {
-		t.Fatalf("nativeprof list = %+v (native req %s)", list, outNat.ReqID)
+	if len(list.Recent) != 2 || list.Recent[0].ID != outNat.ReqID || !list.Recent[0].HasNativeProf ||
+		list.Recent[1].HasNativeProf {
+		t.Fatalf("request list = %+v (native req %s)", list.Recent, outNat.ReqID)
 	}
 
-	var detail struct {
-		ReqID   string              `json:"req_id"`
-		Profile *prof.NativeProfile `json:"profile"`
+	var rec reqtrace.Record
+	if code := getJSON(t, ts.URL+"/debug/requests/"+outNat.ReqID, &rec); code != http.StatusOK {
+		t.Fatalf("native record status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/nativeprof/"+outNat.ReqID, &detail); code != http.StatusOK {
-		t.Fatalf("nativeprof detail status = %d", code)
-	}
-	np := detail.Profile
-	if detail.ReqID != outNat.ReqID || np == nil {
-		t.Fatalf("nativeprof detail = %+v", detail)
+	np := rec.NativeProf
+	if np == nil {
+		t.Fatalf("native record carries no profile: %+v", rec)
 	}
 	if np.Procs != 4 || len(np.Steps) == 0 || len(np.ProcTotals) != 4 {
 		t.Fatalf("profile shape: procs %d, %d steps, %d proc totals",
@@ -95,14 +92,11 @@ func TestNativeProfEndpoint(t *testing.T) {
 		}
 	}
 
-	// Error paths: unprofiled request, unknown id, bad limit.
-	if code := getJSON(t, ts.URL+"/debug/nativeprof/"+outPlain.ReqID, nil); code != http.StatusNotFound {
-		t.Fatalf("unprofiled request status = %d", code)
+	var plain reqtrace.Record
+	if code := getJSON(t, ts.URL+"/debug/requests/"+outPlain.ReqID, &plain); code != http.StatusOK {
+		t.Fatalf("plain record status = %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/debug/nativeprof/nope", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown id status = %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/debug/nativeprof?limit=frog", nil); code != http.StatusBadRequest {
-		t.Fatalf("bad limit status = %d", code)
+	if plain.NativeProf != nil {
+		t.Fatal("unprofiled request's record carries a native profile")
 	}
 }

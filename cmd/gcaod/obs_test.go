@@ -36,7 +36,7 @@ func TestRequestIDEverywhere(t *testing.T) {
 	if hdr == "" || hdr != out.ReqID {
 		t.Fatalf("X-Request-Id %q != body req_id %q", hdr, out.ReqID)
 	}
-	for _, path := range []string{"/healthz", "/metrics", "/debug/cache", "/debug/flightrecorder"} {
+	for _, path := range []string{"/healthz", "/metrics", "/debug/cache", "/debug/requests"} {
 		r, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -82,14 +82,14 @@ func TestRequestIDEverywhere(t *testing.T) {
 	checkErr("400", r400, http.StatusBadRequest)
 
 	// 400: bad query parameter on a debug route.
-	r400q, err := http.Get(ts.URL + "/debug/decisions?limit=x")
+	r400q, err := http.Get(ts.URL + "/debug/requests?limit=x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkErr("400 limit", r400q, http.StatusBadRequest)
 
-	// 404: unknown flight record.
-	r404, err := http.Get(ts.URL + "/debug/flightrecorder/r999999")
+	// 404: unknown request record.
+	r404, err := http.Get(ts.URL + "/debug/requests/r999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRequestIDEverywhere(t *testing.T) {
 func TestRequestIDOnTimeoutAnd429(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: time.Nanosecond,
-		ringSize:   8,
+		retain:     8,
 		logW:       io.Discard,
 		logLevel:   obs.LevelError,
 	})
@@ -205,12 +205,12 @@ func TestTraceparentRoundTrip(t *testing.T) {
 
 	id := resp.Header.Get("X-Request-Id")
 	var rec reqtrace.Record
-	getJSON(t, ts.URL+"/debug/flightrecorder/"+id, &rec)
+	getJSON(t, ts.URL+"/debug/requests/"+id, &rec)
 	if rec.TraceID != traceID {
-		t.Fatalf("flight record trace id %q, want %q", rec.TraceID, traceID)
+		t.Fatalf("request record trace id %q, want %q", rec.TraceID, traceID)
 	}
 	if rec.Trace == nil || rec.Trace.RemoteParent != parent {
-		t.Fatalf("flight record remote parent not retained: %+v", rec.Trace)
+		t.Fatalf("request record remote parent not retained: %+v", rec.Trace)
 	}
 
 	// A malformed header is ignored: a fresh valid trace is minted.
@@ -227,7 +227,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-// checkPhaseSum asserts the flight-record acceptance criterion: the
+// checkPhaseSum asserts the request-record acceptance criterion: the
 // span tree's phase durations sum to the reported wall time within 5%.
 func checkPhaseSum(t *testing.T, rec reqtrace.Record) {
 	t.Helper()
@@ -253,7 +253,7 @@ func checkPhaseSum(t *testing.T, rec reqtrace.Record) {
 
 // TestFlightRecorderResolvesCompile is the tentpole acceptance check:
 // for miss, hit AND dedup cache outcomes, the X-Request-Id returned by
-// /compile resolves at /debug/flightrecorder/{id} to a span tree whose
+// /compile resolves at /debug/requests/{id} to a span tree whose
 // phase durations account for the reported wall time within 5%.
 func TestFlightRecorderResolvesCompile(t *testing.T) {
 	type barrier struct {
@@ -263,7 +263,7 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 	var hook atomic.Pointer[barrier]
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   32,
+		retain:     32,
 		workers:    2,
 		queueDepth: 8,
 		logW:       io.Discard,
@@ -286,11 +286,11 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 	fetchRecord := func(id string) reqtrace.Record {
 		t.Helper()
 		var rec reqtrace.Record
-		if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+id, &rec); code != http.StatusOK {
-			t.Fatalf("flight record %s status = %d", id, code)
+		if code := getJSON(t, ts.URL+"/debug/requests/"+id, &rec); code != http.StatusOK {
+			t.Fatalf("request record %s status = %d", id, code)
 		}
 		if rec.ID != id || rec.Trace == nil {
-			t.Fatalf("flight record %s incomplete: %+v", id, rec)
+			t.Fatalf("request record %s incomplete: %+v", id, rec)
 		}
 		return rec
 	}
@@ -388,7 +388,7 @@ func TestFlightRecorderResolvesCompile(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderRetainsErrors pins the slow/errored store: a 400
+// TestFlightRecorderRetainsErrors pins the slow/errored tier: a 400
 // lands in the slow listing even though it was fast, and its full
 // trace resolves by id.
 func TestFlightRecorderRetainsErrors(t *testing.T) {
@@ -414,7 +414,7 @@ func TestFlightRecorderRetainsErrors(t *testing.T) {
 			Retained int64 `json:"retained"`
 		} `json:"stats"`
 	}
-	getJSON(t, ts.URL+"/debug/flightrecorder", &listing)
+	getJSON(t, ts.URL+"/debug/requests", &listing)
 	foundSlow := false
 	for _, rec := range listing.Slow {
 		if rec.ID == id {
@@ -428,13 +428,13 @@ func TestFlightRecorderRetainsErrors(t *testing.T) {
 		}
 	}
 	if !foundSlow {
-		t.Fatalf("errored request %s not in slow store: %+v", id, listing.Slow)
+		t.Fatalf("errored request %s not in slow tier: %+v", id, listing.Slow)
 	}
 	if listing.Stats.Retained < 1 {
 		t.Fatalf("stats retained = %d", listing.Stats.Retained)
 	}
 	var rec reqtrace.Record
-	getJSON(t, ts.URL+"/debug/flightrecorder/"+id, &rec)
+	getJSON(t, ts.URL+"/debug/requests/"+id, &rec)
 	if rec.Trace == nil {
 		t.Fatal("by-id fetch lost the span tree")
 	}
@@ -454,8 +454,8 @@ func TestBatchItemsInFlightRecorder(t *testing.T) {
 	batchID := resp.Header.Get("X-Request-Id")
 	for _, item := range out.Items {
 		var rec reqtrace.Record
-		if code := getJSON(t, ts.URL+"/debug/flightrecorder/"+item.ReqID, &rec); code != http.StatusOK {
-			t.Fatalf("batch item %s not in flight recorder", item.ReqID)
+		if code := getJSON(t, ts.URL+"/debug/requests/"+item.ReqID, &rec); code != http.StatusOK {
+			t.Fatalf("batch item %s not in the request store", item.ReqID)
 		}
 		if rec.Route != "/compile/batch" {
 			t.Fatalf("batch item route = %q", rec.Route)
@@ -474,7 +474,7 @@ func TestBatchItemsInFlightRecorder(t *testing.T) {
 func TestLiveSSE(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout:   30 * time.Second,
-		ringSize:     8,
+		retain:       8,
 		liveInterval: 5 * time.Millisecond,
 		logW:         io.Discard,
 		logLevel:     obs.LevelError,
@@ -483,7 +483,11 @@ func TestLiveSSE(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	stop := make(chan struct{})
+	// served closes once a compile has completed, so the stream below
+	// opens on traffic it can report however long the first, cold
+	// compile takes on a busy host.
+	stop, served := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -505,8 +509,16 @@ func TestLiveSSE(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
+				once.Do(func() { close(served) })
 			}
 		}(w)
+	}
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		close(stop)
+		wg.Wait()
+		t.Fatal("no compile completed within 10s")
 	}
 
 	resp, err := http.Get(ts.URL + "/debug/live?n=4")
@@ -655,15 +667,16 @@ func TestBuildInfoAndHTTPMetrics(t *testing.T) {
 // paths cannot mint unbounded label values.
 func TestRouteLabelBounded(t *testing.T) {
 	cases := map[string]string{
-		"/compile":                     "/compile",
-		"/compile/batch":               "/compile/batch",
-		"/debug/decisions/r000001":     "/debug/decisions/{id}",
-		"/debug/critpath/r000002":      "/debug/critpath/{id}",
-		"/debug/flightrecorder/r00003": "/debug/flightrecorder/{id}",
-		"/debug/pprof/heap":            "/debug/pprof",
-		"/debug/live":                  "/debug/live",
-		"/nonsense/../path":            "other",
-		"/":                            "other",
+		"/compile":                         "/compile",
+		"/compile/batch":                   "/compile/batch",
+		"/debug/requests":                  "/debug/requests",
+		"/debug/requests/r000001":          "/debug/requests/{id}",
+		"/debug/requests/r000002/critpath": "/debug/requests/{id}/critpath",
+		"/debug/decisions/r000003":         "other",
+		"/debug/pprof/heap":                "/debug/pprof",
+		"/debug/live":                      "/debug/live",
+		"/nonsense/../path":                "other",
+		"/":                                "other",
 	}
 	for path, want := range cases {
 		if got := routeLabel(path); got != want {

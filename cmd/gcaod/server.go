@@ -26,8 +26,6 @@ type serverConfig struct {
 	// reqTimeout bounds one /compile request (and each /compile/batch
 	// item) end to end.
 	reqTimeout time.Duration
-	// ringSize bounds the retained per-request decision logs.
-	ringSize int
 	// maxBody bounds a request body in bytes; a larger body is a 413.
 	maxBody int64
 	// cacheEntries and cacheBytes size each tier of the
@@ -38,10 +36,10 @@ type serverConfig struct {
 	// overflow is a 429.
 	workers    int
 	queueDepth int
-	// flightSize bounds the flight recorder's main ring and its
-	// slow/errored store; slowThreshold marks requests at or above it
-	// for longer retention.
-	flightSize    int
+	// retain bounds each tier of the request store: the ring of recent
+	// records and the slow/errored tier; slowThreshold marks requests
+	// at or above it for the slow tier.
+	retain        int
 	slowThreshold time.Duration
 	// liveInterval paces /debug/live snapshots (tests shorten it).
 	liveInterval time.Duration
@@ -55,19 +53,18 @@ type serverConfig struct {
 
 // server is the gcaod daemon state: one process-global metrics
 // registry every request is absorbed into, the content-addressed
-// compilation cache, the bounded compile scheduler, a bounded ring of
-// recent request decision logs, the structured event log, and a
-// request sequence for ids.
+// compilation cache, the bounded compile scheduler, the store of
+// recent request records, the structured event log, and a request
+// sequence for ids.
 type server struct {
-	cfg    serverConfig
-	reg    *gcao.Registry
-	cache  *gcao.Cache
-	pool   *sched.Pool
-	ring   *obs.DecisionRing
-	flight *reqtrace.FlightRecorder
-	log    *gcao.Logger
-	start  time.Time
-	seq    atomic.Int64
+	cfg      serverConfig
+	reg      *gcao.Registry
+	cache    *gcao.Cache
+	pool     *sched.Pool
+	requests *reqtrace.Store
+	log      *gcao.Logger
+	start    time.Time
+	seq      atomic.Int64
 	// inflight counts HTTP requests currently inside the middleware.
 	inflight atomic.Int64
 
@@ -79,9 +76,6 @@ type server struct {
 func newServer(cfg serverConfig) *server {
 	if cfg.reqTimeout <= 0 {
 		cfg.reqTimeout = 30 * time.Second
-	}
-	if cfg.ringSize <= 0 {
-		cfg.ringSize = 256
 	}
 	if cfg.maxBody <= 0 {
 		cfg.maxBody = 4 << 20
@@ -98,8 +92,8 @@ func newServer(cfg serverConfig) *server {
 	if cfg.queueDepth <= 0 {
 		cfg.queueDepth = 64
 	}
-	if cfg.flightSize <= 0 {
-		cfg.flightSize = 256
+	if cfg.retain <= 0 {
+		cfg.retain = 256
 	}
 	if cfg.slowThreshold <= 0 {
 		cfg.slowThreshold = 500 * time.Millisecond
@@ -115,14 +109,13 @@ func newServer(cfg serverConfig) *server {
 		log = gcao.NewLogger(cfg.logW, cfg.logLevel)
 	}
 	s := &server{
-		cfg:    cfg,
-		reg:    gcao.NewRegistry(),
-		cache:  gcao.NewCache(gcao.CacheOptions{MaxEntries: cfg.cacheEntries, MaxBytes: cfg.cacheBytes}),
-		pool:   sched.New(cfg.workers, cfg.queueDepth),
-		ring:   obs.NewDecisionRing(cfg.ringSize),
-		flight: reqtrace.NewFlightRecorder(cfg.flightSize, cfg.flightSize, cfg.slowThreshold),
-		log:    log,
-		start:  time.Now(),
+		cfg:      cfg,
+		reg:      gcao.NewRegistry(),
+		cache:    gcao.NewCache(gcao.CacheOptions{MaxEntries: cfg.cacheEntries, MaxBytes: cfg.cacheBytes}),
+		pool:     sched.New(cfg.workers, cfg.queueDepth),
+		requests: reqtrace.NewStore(cfg.retain, cfg.retain, cfg.slowThreshold),
+		log:      log,
+		start:    time.Now(),
 	}
 	s.reg.SetCacheStatsFunc(s.cacheTierStats)
 	s.reg.SetBuildInfo(cfg.version)
@@ -166,14 +159,9 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/cache", s.handleCacheStats)
-	mux.HandleFunc("GET /debug/decisions", s.handleDecisionList)
-	mux.HandleFunc("GET /debug/decisions/{id}", s.handleDecisions)
-	mux.HandleFunc("GET /debug/critpath", s.handleCritPathList)
-	mux.HandleFunc("GET /debug/critpath/{id}", s.handleCritPath)
-	mux.HandleFunc("GET /debug/nativeprof", s.handleNativeProfList)
-	mux.HandleFunc("GET /debug/nativeprof/{id}", s.handleNativeProf)
-	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlightList)
-	mux.HandleFunc("GET /debug/flightrecorder/{id}", s.handleFlight)
+	mux.HandleFunc("GET /debug/requests", s.handleRequestList)
+	mux.HandleFunc("GET /debug/requests/{id}", s.handleRequest)
+	mux.HandleFunc("GET /debug/requests/{id}/critpath", s.handleCritPath)
 	mux.HandleFunc("GET /debug/live", s.handleLive)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -288,7 +276,7 @@ type nativeDoc struct {
 // preceding simulate phase left on the recorder, and feeds both the
 // response document and the registry. The profile itself stays on the
 // recorder for the metrics document, the Chrome trace, and the
-// /debug/nativeprof retention ring.
+// request's record.
 func (s *server) execNative(placed *gcao.Placed, version string, procs int, rec *obs.Recorder, m gcao.Machine) (*nativeDoc, error) {
 	nat, err := placed.RunNativeProfiled(procs, rec)
 	if err != nil {
@@ -352,44 +340,19 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	root.Phase("finalize")
-	status := s.record(id, t0, rec, resp, err)
-	s.log.Info("http.compile",
-		obs.F("req", id), obs.F("status", status),
-		obs.F("dur_us", time.Since(t0).Microseconds()))
 	code := http.StatusOK
 	if err != nil {
-		code = s.writeError(w, id, err)
+		code = httpStatus(err)
+	}
+	s.publish(tr, "/compile", code, err, rec, resp, t0)
+	s.log.Info("http.compile",
+		obs.F("req", id), obs.F("status", code),
+		obs.F("dur_us", time.Since(t0).Microseconds()))
+	if err != nil {
+		s.writeError(w, id, err)
 	} else {
 		writeJSON(w, http.StatusOK, resp)
 	}
-	s.flightRecord(tr, "/compile", code, err, resp, t0)
-}
-
-// record absorbs one request's recorder into the registry, retains its
-// decision log in the ring, and returns the status label.
-func (s *server) record(id string, t0 time.Time, rec *obs.Recorder, resp *compileResponse, err error) string {
-	status := "ok"
-	if err != nil {
-		status = "error"
-	}
-	s.reg.Absorb(rec, status)
-	record := obs.RequestRecord{
-		ID:         id,
-		UnixNS:     t0.UnixNano(),
-		Status:     status,
-		Decision:   rec.Decisions(),
-		Counters:   rec.Counters(),
-		Attr:       rec.Attribution(),
-		NativeProf: rec.NativeProfile(),
-	}
-	if resp != nil {
-		record.Strategy = resp.Strategy
-	}
-	if err != nil {
-		record.Error = err.Error()
-	}
-	s.ring.Add(record)
-	return status
 }
 
 // badRequestError marks client-side failures (malformed body, unknown
@@ -429,13 +392,12 @@ func httpStatus(err error) int {
 // carries the request id); queue overflows carry a Retry-After derived
 // from the scheduler's drain estimate so well-behaved clients back off
 // proportionally to the actual backlog.
-func (s *server) writeError(w http.ResponseWriter, id string, err error) int {
+func (s *server) writeError(w http.ResponseWriter, id string, err error) {
 	code := httpStatus(err)
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 	}
 	writeJSON(w, code, map[string]string{"req_id": id, "error": err.Error()})
-	return code
 }
 
 // writeErrMsg writes a plain error body carrying the middleware's
@@ -685,13 +647,13 @@ func (s *server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cache":     s.cache.Stats(),
 		"scheduler": s.pool.Stats(),
-		"flight":    s.flight.Stats(),
+		"requests":  s.requests.Stats(),
 	})
 }
 
-// defaultListLimit bounds /debug/decisions and /debug/critpath
-// listings when the client does not pass ?limit=N: enough to page
-// through recent traffic without dumping the whole ring.
+// defaultListLimit bounds /debug/requests listings when the client
+// does not pass ?limit=N: enough to page through recent traffic
+// without dumping the whole store.
 const defaultListLimit = 50
 
 // listLimit parses ?limit=N (default defaultListLimit; limit=0 or a
@@ -708,49 +670,41 @@ func listLimit(r *http.Request) (int, error) {
 	return n, nil
 }
 
-func (s *server) handleDecisionList(w http.ResponseWriter, r *http.Request) {
+// handleRequestList serves the request store's recent and slow/errored
+// summaries plus its stats. Summaries carry no span tree, decision log
+// or profile; has_attr and has_native_prof say which records have an
+// attribution record or a native profile to fetch.
+func (s *server) handleRequestList(w http.ResponseWriter, r *http.Request) {
 	limit, err := listLimit(r)
 	if err != nil {
 		s.writeErrMsg(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"ids":      s.ring.RecentIDs(limit),
-		"retained": s.ring.Len(),
+		"recent": s.requests.Recent(limit),
+		"slow":   s.requests.Slow(limit),
+		"stats":  s.requests.Stats(),
 	})
 }
 
-func (s *server) handleDecisions(w http.ResponseWriter, r *http.Request) {
+// lookup resolves the {id} path value to a retained record, answering
+// 404 itself when there is none.
+func (s *server) lookup(w http.ResponseWriter, r *http.Request) (reqtrace.Record, bool) {
 	id := r.PathValue("id")
-	rec, ok := s.ring.Get(id)
+	rec, ok := s.requests.Get(id)
 	if !ok {
 		s.writeErrMsg(w, r, http.StatusNotFound, "no retained request "+id)
-		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	return rec, ok
 }
 
-// handleCritPathList lists the retained requests that carry a
-// simulator attribution record (only simulated requests do).
-func (s *server) handleCritPathList(w http.ResponseWriter, r *http.Request) {
-	limit, err := listLimit(r)
-	if err != nil {
-		s.writeErrMsg(w, r, http.StatusBadRequest, err.Error())
-		return
+// handleRequest serves one retained request's full record — phases,
+// span tree, decision log, counters, attribution and native profile —
+// looked up by the X-Request-Id the original response carried.
+func (s *server) handleRequest(w http.ResponseWriter, r *http.Request) {
+	if rec, ok := s.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, rec)
 	}
-	var ids []string
-	for _, id := range s.ring.RecentIDs(0) {
-		if limit > 0 && len(ids) >= limit {
-			break
-		}
-		if rec, ok := s.ring.Get(id); ok && rec.Attr != nil {
-			ids = append(ids, id)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ids":      ids,
-		"retained": s.ring.Len(),
-	})
 }
 
 // handleCritPath serves the analyzed attribution report of one
@@ -758,15 +712,13 @@ func (s *server) handleCritPathList(w http.ResponseWriter, r *http.Request) {
 // critical path. ?g= and ?L= override the BSP cost model knobs
 // (seconds per byte and seconds per superstep).
 func (s *server) handleCritPath(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.ring.Get(id)
+	rec, ok := s.lookup(w, r)
 	if !ok {
-		s.writeErrMsg(w, r, http.StatusNotFound, "no retained request "+id)
 		return
 	}
 	if rec.Attr == nil {
 		s.writeErrMsg(w, r, http.StatusNotFound,
-			"request "+id+" has no attribution record (simulate was not requested)")
+			"request "+rec.ID+" has no attribution record (simulate was not requested)")
 		return
 	}
 	model := gcao.DefaultAttrCostModel()
@@ -787,54 +739,8 @@ func (s *server) handleCritPath(w http.ResponseWriter, r *http.Request) {
 		model.LSec = v
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"req_id": id,
+		"req_id": rec.ID,
 		"report": gcao.AnalyzeAttribution(rec.Attr, model),
-	})
-}
-
-// handleNativeProfList lists the retained requests that carry a native
-// runtime profile (only backend:"native" requests do).
-func (s *server) handleNativeProfList(w http.ResponseWriter, r *http.Request) {
-	limit, err := listLimit(r)
-	if err != nil {
-		s.writeErrMsg(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	var ids []string
-	for _, id := range s.ring.RecentIDs(0) {
-		if limit > 0 && len(ids) >= limit {
-			break
-		}
-		if rec, ok := s.ring.Get(id); ok && rec.NativeProf != nil {
-			ids = append(ids, id)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ids":      ids,
-		"retained": s.ring.Len(),
-	})
-}
-
-// handleNativeProf serves one retained request's native runtime
-// profile: per-superstep per-processor timelines, the wait accounting,
-// compute skew and straggler ranking, and — when the request also
-// simulated — the measured-vs-modeled calibration, refit on demand
-// against the attribution record retained alongside it.
-func (s *server) handleNativeProf(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.ring.Get(id)
-	if !ok {
-		s.writeErrMsg(w, r, http.StatusNotFound, "no retained request "+id)
-		return
-	}
-	if rec.NativeProf == nil {
-		s.writeErrMsg(w, r, http.StatusNotFound,
-			"request "+id+" has no native profile (backend native was not requested)")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"req_id":  id,
-		"profile": rec.NativeProf,
 	})
 }
 

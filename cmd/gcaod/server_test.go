@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gcao/internal/obs"
+	"gcao/internal/obs/reqtrace"
 )
 
 const stencilSrc = `
@@ -43,7 +44,7 @@ func testServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   8,
+		retain:     8,
 		logW:       io.Discard,
 		logLevel:   obs.LevelDebug,
 	})
@@ -207,6 +208,9 @@ func TestMetricsAfterCompile(t *testing.T) {
 	}
 }
 
+// TestDecisionDebugEndpoint: a compile's decision log is part of its
+// one record at /debug/requests/{id}; the listing knows the id; an
+// unknown id is a 404.
 func TestDecisionDebugEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	resp, out := postCompile(t, ts, map[string]any{
@@ -217,43 +221,24 @@ func TestDecisionDebugEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile status = %d", resp.StatusCode)
 	}
-	dResp, err := http.Get(ts.URL + "/debug/decisions/" + out.ReqID)
-	if err != nil {
-		t.Fatal(err)
+	var rec reqtrace.Record
+	if code := getJSON(t, ts.URL+"/debug/requests/"+out.ReqID, &rec); code != http.StatusOK {
+		t.Fatalf("record status = %d", code)
 	}
-	defer dResp.Body.Close()
-	if dResp.StatusCode != http.StatusOK {
-		t.Fatalf("decisions status = %d", dResp.StatusCode)
-	}
-	var rec obs.RequestRecord
-	if err := json.NewDecoder(dResp.Body).Decode(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.ID != out.ReqID || len(rec.Decision) == 0 || rec.Status != "ok" {
+	if rec.ID != out.ReqID || len(rec.Decisions) == 0 || len(rec.Counters) == 0 || rec.Status != http.StatusOK {
 		t.Fatalf("retained record wrong: %+v", rec)
 	}
-	// The list endpoint knows the id; an unknown id is a 404.
-	lResp, err := http.Get(ts.URL + "/debug/decisions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lResp.Body.Close()
 	var list struct {
-		IDs []string `json:"ids"`
+		Recent []reqtrace.Record `json:"recent"`
 	}
-	if err := json.NewDecoder(lResp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
+	if code := getJSON(t, ts.URL+"/debug/requests", &list); code != http.StatusOK {
+		t.Fatalf("list status = %d", code)
 	}
-	if len(list.IDs) != 1 || list.IDs[0] != out.ReqID {
-		t.Fatalf("decision list = %v", list.IDs)
+	if len(list.Recent) != 1 || list.Recent[0].ID != out.ReqID || list.Recent[0].Decisions != nil {
+		t.Fatalf("request list = %+v", list.Recent)
 	}
-	nResp, err := http.Get(ts.URL + "/debug/decisions/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nResp.Body.Close()
-	if nResp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown id status = %d", nResp.StatusCode)
+	if code := getJSON(t, ts.URL+"/debug/requests/nope", nil); code != http.StatusNotFound {
+		t.Fatalf("unknown id status = %d", code)
 	}
 }
 
@@ -402,7 +387,7 @@ func TestCompileCacheHit(t *testing.T) {
 func TestPayloadTooLarge413(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   8,
+		retain:     8,
 		maxBody:    512,
 		logW:       io.Discard,
 		logLevel:   obs.LevelError,
@@ -444,7 +429,7 @@ func blockingServer(t *testing.T) (*server, *httptest.Server, func()) {
 	t.Helper()
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   8,
+		retain:     8,
 		workers:    1,
 		queueDepth: 1,
 		logW:       io.Discard,
@@ -550,7 +535,7 @@ func postBatch(t *testing.T, ts *httptest.Server, items []map[string]any) (*http
 func TestCompileBatch(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: 30 * time.Second,
-		ringSize:   32,
+		retain:     32,
 		workers:    2,
 		queueDepth: 8,
 		logW:       io.Discard,
@@ -606,20 +591,20 @@ func TestCompileBatch(t *testing.T) {
 	if got := s.pool.Stats().Completed; got != 8 {
 		t.Fatalf("pool completed = %d, want 8", got)
 	}
-	// Every item's decision log is retained individually.
-	lResp, err := http.Get(ts.URL + "/debug/decisions")
-	if err != nil {
-		t.Fatal(err)
+	// Every item's record is retained individually; the items that
+	// placed (rather than reusing a cached placement) carry their
+	// decision log.
+	for _, item := range out.Items {
+		var rec reqtrace.Record
+		if code := getJSON(t, ts.URL+"/debug/requests/"+item.ReqID, &rec); code != http.StatusOK {
+			t.Fatalf("item %s record status = %d", item.ReqID, code)
+		}
+		if item.Response.Cache.Place == "miss" && len(rec.Decisions) == 0 {
+			t.Fatalf("item %s placed but its record has no decision log", item.ReqID)
+		}
 	}
-	defer lResp.Body.Close()
-	var list struct {
-		IDs []string `json:"ids"`
-	}
-	if err := json.NewDecoder(lResp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.IDs) != 8 {
-		t.Fatalf("retained %d decision logs, want 8", len(list.IDs))
+	if st := s.requests.Stats(); st.Recent != 8 {
+		t.Fatalf("retained %d records, want 8", st.Recent)
 	}
 }
 
@@ -670,7 +655,7 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 func TestHealthzVersion(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: time.Second,
-		ringSize:   8,
+		retain:     8,
 		version:    "abc123def456",
 		logW:       io.Discard,
 		logLevel:   obs.LevelError,
@@ -704,7 +689,7 @@ func TestHealthzVersion(t *testing.T) {
 func TestCompileTimeout(t *testing.T) {
 	s := newServer(serverConfig{
 		reqTimeout: 1 * time.Nanosecond,
-		ringSize:   8,
+		retain:     8,
 		logW:       io.Discard,
 		logLevel:   obs.LevelError,
 	})

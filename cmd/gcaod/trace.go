@@ -18,19 +18,14 @@ import (
 func routeLabel(path string) string {
 	switch path {
 	case "/compile", "/compile/batch", "/metrics", "/healthz",
-		"/debug/cache", "/debug/decisions", "/debug/critpath",
-		"/debug/nativeprof", "/debug/flightrecorder", "/debug/live":
+		"/debug/cache", "/debug/requests", "/debug/live":
 		return path
 	}
 	switch {
-	case strings.HasPrefix(path, "/debug/decisions/"):
-		return "/debug/decisions/{id}"
-	case strings.HasPrefix(path, "/debug/critpath/"):
-		return "/debug/critpath/{id}"
-	case strings.HasPrefix(path, "/debug/nativeprof/"):
-		return "/debug/nativeprof/{id}"
-	case strings.HasPrefix(path, "/debug/flightrecorder/"):
-		return "/debug/flightrecorder/{id}"
+	case strings.HasPrefix(path, "/debug/requests/") && strings.HasSuffix(path, "/critpath"):
+		return "/debug/requests/{id}/critpath"
+	case strings.HasPrefix(path, "/debug/requests/"):
+		return "/debug/requests/{id}"
 	case strings.HasPrefix(path, "/debug/pprof"):
 		return "/debug/pprof"
 	}
@@ -103,36 +98,44 @@ func reqID(r *http.Request) string {
 	return reqtrace.FromContext(r.Context()).ReqID()
 }
 
-// flightRecord closes the request's span tree and retains it in the
-// flight recorder, keyed by the id the response's X-Request-Id header
-// carried.
-func (s *server) flightRecord(tr *reqtrace.Trace, route string, status int, err error, resp *compileResponse, t0 time.Time) {
+// publish closes the request's span tree, absorbs its recorder into
+// the registry and retains the request's one record in the store,
+// keyed by the id the response's X-Request-Id header carries. Every
+// compile path calls it before writing any response bytes, so a
+// client that resolves the id as soon as the response arrives always
+// finds the record.
+func (s *server) publish(tr *reqtrace.Trace, route string, code int, err error, rec *obs.Recorder, resp *compileResponse, t0 time.Time) {
+	status := "ok"
+	if err != nil {
+		status = "error"
+	}
+	s.reg.Absorb(rec, status)
 	tr.Root().End()
 	doc := tr.Doc()
-	rec := reqtrace.Record{
-		ID:      tr.ReqID(),
-		TraceID: doc.TraceID,
-		Route:   route,
-		Status:  status,
-		UnixNS:  t0.UnixNano(),
-		WallUS:  doc.Root.DurUS,
-		Phases:  reqtrace.PhaseTotals(doc.Root),
-		Trace:   &doc,
+	r := reqtrace.Record{
+		ID:         tr.ReqID(),
+		TraceID:    doc.TraceID,
+		Route:      route,
+		Status:     code,
+		UnixNS:     t0.UnixNano(),
+		WallUS:     doc.Root.DurUS,
+		Phases:     reqtrace.PhaseTotals(doc.Root),
+		Trace:      &doc,
+		Decisions:  rec.Decisions(),
+		Counters:   rec.Counters(),
+		Attr:       rec.Attribution(),
+		NativeProf: rec.NativeProfile(),
 	}
 	if err != nil {
-		rec.Error = err.Error()
+		r.Error = err.Error()
 	}
 	if resp != nil {
-		rec.Strategy = resp.Strategy
+		r.Strategy = resp.Strategy
 		if resp.Cache != nil {
-			rec.Cache = resp.Cache.Compile
-		}
-		if resp.Native != nil {
-			rec.NativeSkew = resp.Native.SkewRatio
-			rec.NativeBlockedSec = resp.Native.BlockedSeconds
+			r.Cache = resp.Cache.Compile
 		}
 	}
-	s.flight.Add(rec)
+	s.requests.Add(r)
 }
 
 // retryAfter derives the 429 backoff hint from the scheduler's own
@@ -149,34 +152,6 @@ func (s *server) retryAfter() int {
 		secs = 30
 	}
 	return secs
-}
-
-// handleFlightList serves the flight recorder's ring and slow-store
-// summaries (no span trees; fetch /debug/flightrecorder/{id} for one).
-func (s *server) handleFlightList(w http.ResponseWriter, r *http.Request) {
-	limit, err := listLimit(r)
-	if err != nil {
-		s.writeErrMsg(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"recent": s.flight.Recent(limit),
-		"slow":   s.flight.Slow(limit),
-		"stats":  s.flight.Stats(),
-	})
-}
-
-// handleFlight serves one retained request's full record — phase
-// summary plus span tree — looked up by the X-Request-Id the original
-// response carried.
-func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.flight.Get(id)
-	if !ok {
-		s.writeErrMsg(w, r, http.StatusNotFound, "no retained flight record "+id)
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
 }
 
 // serverStats adapts the live serving-layer occupancy for the

@@ -2,7 +2,7 @@
 // daemon's /debug/live server-sent-event stream and renders each
 // snapshot as a compact dashboard — request rate, per-route latency
 // quantiles, cache hit rate, scheduler queue occupancy and sheds,
-// flight-recorder retention — the way top renders a process table.
+// request-store retention — the way top renders a process table.
 //
 // Usage:
 //

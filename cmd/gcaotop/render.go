@@ -36,11 +36,11 @@ type snapshot struct {
 	} `json:"scheduler"`
 	QueueWaitP50ms float64 `json:"queue_wait_p50_ms"`
 	QueueWaitP99ms float64 `json:"queue_wait_p99_ms"`
-	Flight         struct {
+	Requests       struct {
 		Recent       int   `json:"recent"`
 		SlowRetained int   `json:"slow_retained"`
 		ThresholdUS  int64 `json:"threshold_us"`
-	} `json:"flight"`
+	} `json:"requests"`
 	GapRatio  float64 `json:"gap_ratio"`
 	GapPoints int     `json:"gap_points"`
 	Native    *struct {
@@ -71,9 +71,9 @@ func render(s snapshot) string {
 		s.Sched.Queued, s.Sched.QueueDepth, s.Sched.Active, s.Sched.Workers,
 		time.Duration(s.Sched.AvgServiceUS)*time.Microsecond,
 		s.QueueWaitP50ms, s.QueueWaitP99ms, s.Sched.Rejected, s.Sched.Expired)
-	fmt.Fprintf(&b, "cache  hit %.1f%%   flight %d recent / %d slow (threshold %s)\n",
-		s.CacheHitRate*100, s.Flight.Recent, s.Flight.SlowRetained,
-		time.Duration(s.Flight.ThresholdUS)*time.Microsecond)
+	fmt.Fprintf(&b, "cache  hit %.1f%%   requests %d recent / %d slow (threshold %s)\n",
+		s.CacheHitRate*100, s.Requests.Recent, s.Requests.SlowRetained,
+		time.Duration(s.Requests.ThresholdUS)*time.Microsecond)
 	if s.GapPoints > 0 {
 		fmt.Fprintf(&b, "gap    %.2fx the communication lower bound over %d benchmark×version pair(s)\n",
 			s.GapRatio, s.GapPoints)

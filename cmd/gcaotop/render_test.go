@@ -20,7 +20,7 @@ const fixture = `{
   "scheduler": {"workers": 4, "queue_depth": 64, "queued": 3, "active": 4,
     "rejected": 2, "expired": 1, "avg_service_us": 1500},
   "queue_wait_p50_ms": 0.4, "queue_wait_p99_ms": 7.1,
-  "flight": {"recent": 120, "slow_retained": 5, "threshold_us": 500000},
+  "requests": {"recent": 120, "slow_retained": 5, "threshold_us": 500000},
   "gap_ratio": 3.21, "gap_points": 6
 }`
 
@@ -38,7 +38,7 @@ func TestRenderSnapshot(t *testing.T) {
 		"active 4/4 workers",
 		"shed 2",
 		"hit 75.0%",
-		"120 recent / 5 slow",
+		"requests 120 recent / 5 slow",
 		"200:148",
 		"429:2",
 		"/compile",

@@ -36,6 +36,7 @@ import (
 	"gcao/internal/obs"
 	"gcao/internal/obs/attr"
 	"gcao/internal/parser"
+	"gcao/internal/runtime"
 	"gcao/internal/sem"
 	"gcao/internal/spmd"
 )
@@ -57,6 +58,12 @@ type Registry = obs.Registry
 
 // NewRegistry builds an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
+
+// BoundsError re-exports the run-time subscript fault: Simulate and
+// RunNative return one (naming the array, the index and the source
+// position) when the program reads or writes outside an array's
+// declared bounds.
+type BoundsError = runtime.BoundsError
 
 // AttrRun re-exports the simulator's cost-attribution record: one
 // h-relation Step per superstep, each blaming its traffic to the

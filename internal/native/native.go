@@ -676,12 +676,11 @@ func (pc *proc) execStmt(st *cfg.Stmt) error {
 		return nil
 	}
 
-	idx, err := pc.lhsIndex(as)
+	am := si.LHS
+	idx, off, err := pc.lhsIndex(as, am)
 	if err != nil {
 		return err
 	}
-	am := si.LHS
-	off := am.Offset(idx)
 
 	if am.Dist == nil {
 		// Replicated-array store: the single shared row 0 is written by
@@ -719,20 +718,21 @@ func (pc *proc) execStmt(st *cfg.Stmt) error {
 }
 
 // lhsIndex evaluates the LHS subscripts into the per-proc scratch
-// (valid until the next statement).
-func (pc *proc) lhsIndex(as *ast.AssignStmt) ([]int, error) {
+// (valid until the next statement) and their offset into am.
+func (pc *proc) lhsIndex(as *ast.AssignStmt, am *runtime.ArrayMem) ([]int, int, error) {
 	idx := pc.lhsidx[:len(as.LHS.Subs)]
 	for i, sub := range as.LHS.Subs {
 		if sub.Kind != ast.SubExpr {
-			return nil, fmt.Errorf("native: unscalarized section on LHS at %s", as.Pos)
+			return nil, 0, fmt.Errorf("native: unscalarized section on LHS at %s", as.Pos)
 		}
 		x, err := pc.evalInt(sub.X)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		idx[i] = x
 	}
-	return idx, nil
+	off, err := am.CheckedOffset(idx, as.LHS.Pos)
+	return idx, off, err
 }
 
 // evalCond evaluates a branch condition. Conditions over scalar or
@@ -847,7 +847,11 @@ func (pc *proc) eval(e ast.Expr) (float64, error) {
 			pc.idxstack = append(pc.idxstack, x)
 		}
 		idx := pc.idxstack[base:]
-		v, err := am.ReadAt(pc.p, am.Offset(idx), idx)
+		off, err := am.CheckedOffset(idx, e.Pos)
+		var v float64
+		if err == nil {
+			v, err = am.ReadAt(pc.p, off, idx)
+		}
 		pc.idxstack = pc.idxstack[:base]
 		return v, err
 	case *ast.Call:

@@ -195,7 +195,9 @@ func (s *Span) childLocked(name string, startUS int64) *Span {
 
 // Phase ends the span's currently open phase (if any) and opens the
 // next one at the same clock reading, so consecutive phases tile the
-// parent with no gap. It returns the new phase span.
+// parent with no gap. A span's first phase opens at the span's own
+// start, so the tiling also covers any lead-in before the call. It
+// returns the new phase span.
 func (s *Span) Phase(name string) *Span {
 	if s == nil {
 		return nil
@@ -204,7 +206,11 @@ func (s *Span) Phase(name string) *Span {
 	defer s.tr.mu.Unlock()
 	now := s.tr.nowUS()
 	s.closePhaseLocked(now)
-	c := s.childLocked(name, now)
+	start := now
+	if len(s.children) == 0 {
+		start = s.startUS
+	}
+	c := s.childLocked(name, start)
 	s.phase = c
 	return c
 }

@@ -116,10 +116,10 @@ func TestPhaseTiling(t *testing.T) {
 	if got := last.StartUS + last.DurUS - first.StartUS; sum != got {
 		t.Fatalf("phase sum %d != active window %d", sum, got)
 	}
-	// The root ends with the last phase, so phase sum == root duration
-	// minus the (here zero) pre-phase lead-in.
-	if sum > doc.Root.DurUS {
-		t.Fatalf("phases (%dus) exceed root (%dus)", sum, doc.Root.DurUS)
+	// The first phase opens at the root's start and the root ends with
+	// the last phase, so the phases sum to the root duration exactly.
+	if first.StartUS != 0 || sum != doc.Root.DurUS {
+		t.Fatalf("phases start at %dus and sum to %dus, root lasts %dus", first.StartUS, sum, doc.Root.DurUS)
 	}
 	if doc.Root.Children[2].Attrs["outcome"] != "miss" {
 		t.Fatalf("attrs lost: %+v", doc.Root.Children[2].Attrs)

@@ -386,7 +386,8 @@ func CountFlops(e ast.Expr) int {
 }
 
 // ConcreteRefSection resolves a (possibly sectioned) reference to a
-// concrete section under a loop environment.
+// concrete section under a loop environment. A section reaching
+// outside the array's declared bounds is a *runtime.BoundsError.
 func (pl *Plan) ConcreteRefSection(ref *ast.Ref, am *runtime.ArrayMem, ienv map[string]int) (sec section.Section, err error) {
 	arr := am.Arr
 	dims := make([]section.Dim, arr.Rank())
@@ -423,7 +424,26 @@ func (pl *Plan) ConcreteRefSection(ref *ast.Ref, am *runtime.ArrayMem, ienv map[
 		}
 		dims[i] = section.Dim{Lo: lo, Hi: hi, Step: step}
 	}
-	return section.Section{Dims: dims}, nil
+	sec = section.Section{Dims: dims}
+	if sec.IsEmpty() {
+		return sec, nil
+	}
+	// The scan visits elements from each dimension's Lo to its last
+	// stride point; both must lie inside the declared bounds.
+	for i, d := range dims {
+		step := max(d.Step, 1)
+		for _, x := range [2]int{d.Lo, d.Lo + (d.Hi-d.Lo)/step*step} {
+			if x < arr.Lo[i] || x > arr.Hi[i] {
+				idx := make([]int, len(dims))
+				for j := range dims {
+					idx[j] = dims[j].Lo
+				}
+				idx[i] = x
+				return sec, &runtime.BoundsError{Array: am.Name, Index: idx, Pos: ref.Pos}
+			}
+		}
+	}
+	return sec, nil
 }
 
 // ConcreteEntrySection concretizes one group entry's communicated

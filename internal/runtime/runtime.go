@@ -16,6 +16,7 @@ import (
 	"gcao/internal/machine"
 	"gcao/internal/section"
 	"gcao/internal/sem"
+	"gcao/internal/source"
 )
 
 // Ledger accumulates per-processor time and message statistics.
@@ -192,6 +193,18 @@ func (e *StaleReadError) Error() string {
 	return fmt.Sprintf("runtime: processor %d read stale %s%v (element not owned and never delivered)", e.Proc, e.Array, e.Index)
 }
 
+// BoundsError reports a program subscript outside its array's
+// declared bounds.
+type BoundsError struct {
+	Array string
+	Index []int
+	Pos   source.Pos
+}
+
+func (e *BoundsError) Error() string {
+	return fmt.Sprintf("runtime: %s: %s%v out of bounds", e.Pos, e.Array, e.Index)
+}
+
 // Memory is the distributed memory: every processor holds a full-size
 // image of each distributed array, but only owned or delivered
 // elements are valid. Replicated arrays are stored once.
@@ -297,17 +310,37 @@ func (m *Memory) View(name string) *ArrayMem {
 }
 
 // Offset maps an index vector to the flat row-major offset, panicking
-// when the index lies outside the declared bounds.
+// when the index lies outside the declared bounds. Index vectors that
+// come from the program being run go through CheckedOffset instead.
 func (am *ArrayMem) Offset(idx []int) int {
+	off, ok := am.offset(idx)
+	if !ok {
+		panic(fmt.Sprintf("runtime: %s%v out of bounds", am.Name, idx))
+	}
+	return off
+}
+
+// CheckedOffset is Offset for subscripts the program computed: an
+// index outside the declared bounds is a *BoundsError carrying the
+// subscript's source position, not a panic.
+func (am *ArrayMem) CheckedOffset(idx []int, pos source.Pos) (int, error) {
+	off, ok := am.offset(idx)
+	if !ok {
+		return 0, &BoundsError{Array: am.Name, Index: append([]int(nil), idx...), Pos: pos}
+	}
+	return off, nil
+}
+
+func (am *ArrayMem) offset(idx []int) (int, bool) {
 	arr := am.Arr
 	off := 0
 	for i, x := range idx {
 		if x < arr.Lo[i] || x > arr.Hi[i] {
-			panic(fmt.Sprintf("runtime: %s%v out of bounds", am.Name, idx))
+			return 0, false
 		}
 		off += (x - arr.Lo[i]) * am.Strides[i]
 	}
-	return off
+	return off, true
 }
 
 // OwnerInto computes the owning processor of an element, reusing the

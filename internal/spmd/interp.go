@@ -219,12 +219,11 @@ func (sh *shard) execStmt(st *cfg.Stmt) error {
 
 	// Owner-computes on a distributed array (replicated-array stores
 	// are sync statements).
-	idx, err := sh.lhsIndex(as)
+	am := si.LHS
+	idx, off, err := sh.lhsIndex(as, am)
 	if err != nil {
 		return err
 	}
-	am := si.LHS
-	off := am.Offset(idx)
 	owner := sh.ownerOf(am, idx)
 	if owner >= sh.lo && owner < sh.hi {
 		v, extra, err := sh.evalOn(owner, as.RHS)
@@ -257,12 +256,9 @@ func (sh *shard) execSyncStmt(st *cfg.Stmt, si *plan.StmtInfo) error {
 	var serr error
 	eng.syncHas[sh.idx] = false
 	if si.LHS != nil {
-		idx, serr = sh.lhsIndex(as)
+		idx, off, serr = sh.lhsIndex(as, si.LHS)
 		if serr == nil && si.LHS.Dist != nil {
-			off = si.LHS.Offset(idx)
 			owner = sh.ownerOf(si.LHS, idx)
-		} else if serr == nil {
-			off = si.LHS.Offset(idx)
 		}
 	}
 	if serr == nil {
@@ -354,19 +350,21 @@ func (sh *shard) evalRange(e ast.Expr, flops int) (float64, error) {
 	return v0, nil
 }
 
-func (sh *shard) lhsIndex(as *ast.AssignStmt) ([]int, error) {
+// lhsIndex evaluates the LHS subscripts and their offset into am.
+func (sh *shard) lhsIndex(as *ast.AssignStmt, am *runtime.ArrayMem) ([]int, int, error) {
 	idx := make([]int, len(as.LHS.Subs))
 	for i, sub := range as.LHS.Subs {
 		if sub.Kind != ast.SubExpr {
-			return nil, fmt.Errorf("spmd: unscalarized section on LHS at %s", as.Pos)
+			return nil, 0, fmt.Errorf("spmd: unscalarized section on LHS at %s", as.Pos)
 		}
 		x, err := sh.evalInt(sub.X)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		idx[i] = x
 	}
-	return idx, nil
+	off, err := am.CheckedOffset(idx, as.LHS.Pos)
+	return idx, off, err
 }
 
 // ownerOf computes an element's owner through the shard's reusable
@@ -449,7 +447,11 @@ func (sh *shard) evalOn(p int, e ast.Expr) (val float64, extra int, err error) {
 			}
 			idx[i] = x
 		}
-		v, err := am.ReadAt(p, am.Offset(idx), idx)
+		off, err := am.CheckedOffset(idx, e.Pos)
+		if err != nil {
+			return 0, 0, err
+		}
+		v, err := am.ReadAt(p, off, idx)
 		return v, 0, err
 	case *ast.Call:
 		if e.Func == "sum" {
